@@ -1,10 +1,11 @@
 #!/usr/bin/env python
 """Generate ``docs/studies.md`` from the live :data:`STUDIES` registry.
 
-The catalogue page is *derived*, never hand-edited: CI regenerates it
-before every ``mkdocs build --strict``, so the documentation cannot drift
-from the registry — a study added via ``STUDIES.add(...)`` appears here
-on the next build, with its flags, sweep size, and the paper artefact it
+The catalogue page is *derived*, never hand-edited.  It is committed so
+that a plain checkout links to real content, and ``tests/test_docs.py``
+fails when the committed page differs from what this script renders — a
+study added via ``STUDIES.add(...)`` must be followed by a regeneration,
+which brings in its flags, sweep size, and the paper artefact it
 reproduces.
 
 Usage::

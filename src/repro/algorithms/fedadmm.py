@@ -207,7 +207,7 @@ class FedADMM(FederatedAlgorithm):
         assembly follow :func:`repro.core.admm_client.admm_client_update`
         operation for operation, just with a leading client axis.
         """
-        from repro.nn.batched import batched_run_local_sgd
+        from repro.nn.batched import batched_run_local_sgd, penalty_grad
 
         rho = self.rho_schedule.value(round_index)
         if rho <= 0:
@@ -223,12 +223,9 @@ class FedADMM(FederatedAlgorithm):
         start = w_old if self.warm_start else np.broadcast_to(
             global_params, w_old.shape
         )
-
-        def extra_grad(params: np.ndarray) -> np.ndarray:
-            return y_old + rho * (params - theta)
-
         w_new, losses = batched_run_local_sgd(
-            cohort, start, config, extra_grad=extra_grad
+            cohort, start, config,
+            extra_grad=penalty_grad(global_params, rho, len(clients), y_old),
         )
         y_new = y_old + rho * (w_new - theta)
         delta = (w_new + y_new / rho) - (w_old + y_old / rho)

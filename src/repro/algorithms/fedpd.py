@@ -112,7 +112,7 @@ class FedPD(FederatedAlgorithm):
         the same computation :meth:`local_update` performs per client, up
         to stacked-matmul reduction order.
         """
-        from repro.nn.batched import batched_run_local_sgd
+        from repro.nn.batched import batched_run_local_sgd, penalty_grad
 
         for client in clients:
             self.init_client_state(client, global_params)
@@ -124,7 +124,7 @@ class FedPD(FederatedAlgorithm):
             cohort,
             w_old,
             config,
-            extra_grad=lambda params: y_old + self.rho * (params - theta),
+            extra_grad=penalty_grad(global_params, self.rho, len(clients), y_old),
         )
         y_new = y_old + self.rho * (w_new - theta)
         augmented = w_new + y_new / self.rho

@@ -78,17 +78,12 @@ class FedProx(FederatedAlgorithm):
         config: LocalTrainingConfig,
         round_index: int = 0,
     ) -> list[ClientMessage]:
-        from repro.nn.batched import batched_run_local_sgd
-
-        theta = global_params[None, :]
-        rho = self.rho
-
-        def extra_grad(params: np.ndarray) -> np.ndarray:
-            return rho * (params - theta)
+        from repro.nn.batched import batched_run_local_sgd, penalty_grad
 
         start = np.broadcast_to(global_params, (len(clients), global_params.size))
         params, losses = batched_run_local_sgd(
-            cohort, start, config, extra_grad=extra_grad
+            cohort, start, config,
+            extra_grad=penalty_grad(global_params, self.rho, len(clients)),
         )
         return self.build_cohort_messages(
             clients, cohort, config.epochs, losses,

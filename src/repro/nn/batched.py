@@ -22,7 +22,11 @@ allocated once per distinct cohort size and reused across every step and
 round.  The gradient buffer is reused *without zeroing* — this is safe
 because each parametric op's backward **assigns** (never accumulates) its
 full parameter slice, and :func:`build_batched_model` verifies the slices
-tile the entire flat layout (``offset == model.num_params``).
+tile the entire flat layout (``offset == model.num_params``).  A step does
+no work its result does not read: the backward pass ends at the first
+parametric op (the input-feature gradient is never formed), and
+:func:`batched_run_local_sgd` applies the update inside the gradient
+buffer, so the results are bit-identical to the full-work kernels.
 
 :func:`build_batched_model` compiles a supported model template into a
 :class:`BatchedModel`; architectures with genuinely unbatchable pieces
@@ -70,6 +74,9 @@ from repro.nn.module import Module
 
 #: Extra per-parameter gradient term added before each SGD step, evaluated
 #: at the current stacked parameters ``(C, dim)`` (proximal/dual terms).
+#: The returned array may be a buffer the callable reuses (e.g. filled with
+#: ``out=``): :func:`batched_run_local_sgd` reads it once, before the next
+#: call, and never writes to it.  See :func:`penalty_grad`.
 ExtraGrad = Callable[[np.ndarray], np.ndarray]
 
 
@@ -85,6 +92,9 @@ def _resolve_backend(backend: Backend | str | None) -> Backend:
 class _BatchedOp:
     """One layer of a :class:`BatchedModel`: stacked forward/backward."""
 
+    #: Whether the op owns a slice of the flat parameter vector.
+    has_params = False
+
     def forward(self, params: np.ndarray, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -94,7 +104,10 @@ class _BatchedOp:
 
         Parametric ops **assign** their full slice of ``grads`` (no ``+=``):
         the model's workspace relies on this to reuse the buffer between
-        steps without zeroing it.
+        steps without zeroing it.  Parametric ops (``has_params``) also
+        take ``input_grad=False``: they then write their parameter
+        gradients only and return ``None``.  The model asks this of its
+        first parametric op, whose input gradient nobody reads.
         """
         raise NotImplementedError
 
@@ -110,6 +123,8 @@ class _BatchedOp:
 
 class BatchedLinear(_BatchedOp):
     """``y = x @ W + b`` with a leading client axis on everything."""
+
+    has_params = True
 
     def __init__(
         self,
@@ -149,7 +164,9 @@ class BatchedLinear(_BatchedOp):
         self._weight = weight
         return self.backend.matmul(x, weight) + bias[:, None, :]
 
-    def backward(self, grads: np.ndarray, grad_output: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grads: np.ndarray, grad_output: np.ndarray, input_grad: bool = True
+    ) -> np.ndarray | None:
         if self._input is None or self._weight is None:
             raise ShapeError("backward called before forward on BatchedLinear")
         cohort = grads.shape[0]
@@ -157,6 +174,8 @@ class BatchedLinear(_BatchedOp):
             self._input.transpose(0, 2, 1), grad_output
         ).reshape(cohort, -1)
         grads[:, self.bias_slice] = self.backend.sum(grad_output, axis=1)
+        if not input_grad:
+            return None
         return self.backend.matmul(grad_output, self._weight.transpose(0, 2, 1))
 
 
@@ -175,6 +194,8 @@ class BatchedConv2D(_BatchedOp):
     Row ordering matches :class:`repro.nn.layers.Conv2D` exactly, so each
     client's slice reproduces the serial layer up to reduction order.
     """
+
+    has_params = True
 
     def __init__(
         self,
@@ -239,7 +260,9 @@ class BatchedConv2D(_BatchedOp):
         self._input_shape = x.shape
         return out.transpose(0, 1, 4, 2, 3)
 
-    def backward(self, grads: np.ndarray, grad_output: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grads: np.ndarray, grad_output: np.ndarray, input_grad: bool = True
+    ) -> np.ndarray | None:
         if self._cols is None or self._weight is None or self._input_shape is None:
             raise ShapeError("backward called before forward on BatchedConv2D")
         cohort, n = self._input_shape[0], self._input_shape[1]
@@ -252,6 +275,8 @@ class BatchedConv2D(_BatchedOp):
             grad_mat.transpose(0, 2, 1), self._cols
         ).reshape(cohort, -1)
         grads[:, self.bias_slice] = self.backend.sum(grad_mat, axis=1)
+        if not input_grad:
+            return None
 
         grad_cols = self.backend.matmul(grad_mat, self._weight)
         folded_shape = (cohort * n,) + self._input_shape[2:]
@@ -528,9 +553,15 @@ class BatchedModel:
     buffer per distinct cohort size ``C``, reused across every step, round,
     and :meth:`loss_and_grad` call.  **The returned gradient array is owned
     by this workspace and is overwritten by the next call** — consume it
-    (or copy it) before calling again.  A ``BatchedModel`` instance is not
-    safe for concurrent use; executors give each concurrent cohort its own
-    :meth:`clone`.
+    (or copy it) before calling again.  The caller may also consume it in
+    place: :func:`batched_run_local_sgd` turns it into the SGD step.  A
+    ``BatchedModel`` instance is not safe for concurrent use; executors
+    give each concurrent cohort its own :meth:`clone`.
+
+    No gradient with respect to the input features is computed: backward
+    stops at the first parametric op, which writes its parameter gradients
+    only.  The parameter gradients are bit-identical to a full backward
+    pass through every op.
     """
 
     def __init__(
@@ -546,9 +577,14 @@ class BatchedModel:
         self.backend = _resolve_backend(backend)
         #: Optional :class:`repro.obs.Profiler`: when set, every stacked
         #: op's forward/backward is timed under a ``kernel.*`` key.  The
-        #: untimed hot path pays exactly one ``None`` check per call.
+        #: untimed hot path pays one clock read and one ``None`` check per op.
         self.profiler = None
         self._grad_buffers: dict[int, np.ndarray] = {}
+        #: Where backward stops: nothing in front of the first parametric
+        #: op contributes a parameter gradient.
+        self._first_parametric = next(
+            (index for index, op in enumerate(ops) if op.has_params), len(ops)
+        )
 
     def clone(self) -> "BatchedModel":
         """A fresh execution context: same compiled pipeline, own workspace."""
@@ -604,45 +640,43 @@ class BatchedModel:
         """Per-client mean loss ``(C,)`` and flat gradients ``(C, dim)``.
 
         The gradient array is the model's reused workspace buffer: it is
-        valid until the next ``loss_and_grad`` call on this instance.
+        valid until the next ``loss_and_grad`` call on this instance, and
+        the caller may consume it in place.  The gradient with respect to
+        ``features`` is never formed: the backward pass stops at the first
+        parametric op, which writes its parameter gradients only, and the
+        parameter-free ops in front of it run no backward at all.  When
+        :attr:`profiler` is set, every op is timed under a ``kernel.*`` key.
         """
-        if self.profiler is not None:
-            return self._profiled_loss_and_grad(params, features, labels)
-        x = features
-        for op in self.ops:
-            x = op.forward(params, x)
-        losses, grad_output = self.loss.value_and_grad(x, labels)
-        grads = self._grads_for(params.shape[0])
-        for op in reversed(self.ops):
-            grad_output = op.backward(grads, grad_output)
-        return losses, grads
-
-    def _profiled_loss_and_grad(
-        self, params: np.ndarray, features: np.ndarray, labels: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The same computation with per-kernel timing (``repro profile``)."""
         profiler = self.profiler
         x = features
         for op in self.ops:
             started = time.perf_counter()
             x = op.forward(params, x)
-            profiler.add(
-                f"kernel.{type(op).__name__}.forward",
-                time.perf_counter() - started,
-            )
+            if profiler is not None:
+                profiler.add(
+                    f"kernel.{type(op).__name__}.forward",
+                    time.perf_counter() - started,
+                )
         started = time.perf_counter()
         losses, grad_output = self.loss.value_and_grad(x, labels)
-        profiler.add(
-            f"kernel.{type(self.loss).__name__}", time.perf_counter() - started
-        )
-        grads = self._grads_for(params.shape[0])
-        for op in reversed(self.ops):
-            started = time.perf_counter()
-            grad_output = op.backward(grads, grad_output)
+        if profiler is not None:
             profiler.add(
-                f"kernel.{type(op).__name__}.backward",
-                time.perf_counter() - started,
+                f"kernel.{type(self.loss).__name__}", time.perf_counter() - started
             )
+        grads = self._grads_for(params.shape[0])
+        first = self._first_parametric
+        for index in range(len(self.ops) - 1, first - 1, -1):
+            op = self.ops[index]
+            started = time.perf_counter()
+            if index > first:
+                grad_output = op.backward(grads, grad_output)
+            else:
+                op.backward(grads, grad_output, input_grad=False)
+            if profiler is not None:
+                profiler.add(
+                    f"kernel.{type(op).__name__}.backward",
+                    time.perf_counter() - started,
+                )
         return losses, grads
 
     def full_loss_and_grad(
@@ -806,8 +840,10 @@ def _epoch_batches(
         yield cohort.features, cohort.labels
         return
     order = cohort.epoch_orders[epoch]  # (C, n)
-    shuffled_x = np.take_along_axis(cohort.features, order[:, :, None], axis=1)
-    shuffled_y = np.take_along_axis(cohort.labels, order, axis=1)
+    # Gather whole rows: client c's sample order[c, j] becomes row j.
+    rows = np.arange(cohort.num_clients)[:, None]
+    shuffled_x = cohort.features[rows, order]
+    shuffled_y = cohort.labels[rows, order]
     for start in range(0, n, batch_size):
         stop = start + batch_size
         yield shuffled_x[:, start:stop], shuffled_y[:, start:stop]
@@ -829,6 +865,32 @@ def local_steps_per_round(num_samples: int, config) -> int:
     return config.epochs * per_epoch
 
 
+def penalty_grad(
+    theta: np.ndarray,
+    rho: float,
+    num_clients: int,
+    duals: np.ndarray | None = None,
+) -> ExtraGrad:
+    """The augmented-Lagrangian term ``duals + rho * (params - theta)``.
+
+    ``theta`` is the ``(dim,)`` server model shared by the cohort and
+    ``duals`` the stacked ``(C, dim)`` duals (``None`` for a purely proximal
+    term, as in FedProx).  Every call writes into one ``(C, dim)`` buffer
+    owned by the returned callable, with the same operations as the
+    out-of-place expression, so the values are bit-identical to it.
+    """
+    buffer = np.empty((num_clients, theta.shape[-1]), dtype=np.float64)
+
+    def extra_grad(params: np.ndarray) -> np.ndarray:
+        np.subtract(params, theta, out=buffer)
+        np.multiply(buffer, rho, out=buffer)
+        if duals is not None:
+            np.add(buffer, duals, out=buffer)
+        return buffer
+
+    return extra_grad
+
+
 def batched_run_local_sgd(
     cohort: BatchedCohort,
     start_params: np.ndarray,
@@ -842,6 +904,13 @@ def batched_run_local_sgd(
     cohort (cohorts group on epochs/batch size).  Returns the trained
     ``(C, dim)`` parameters and each client's mean mini-batch loss ``(C,)``
     — the unweighted mean over batches, exactly like the serial kernel.
+
+    Each step consumes the model's gradient workspace in place
+    (``grads += extra; grads *= lr; params -= grads``), the same operations
+    in the same order as ``params -= lr * (grads + extra)``, so the result
+    is bit-identical to the out-of-place update without its temporaries.
+    ``extra_grad`` may return a buffer it reuses across calls; it is read
+    before the next call.
     """
     params = np.array(start_params, dtype=np.float64, copy=True)
     loss_sum = np.zeros(cohort.num_clients, dtype=np.float64)
@@ -852,8 +921,9 @@ def batched_run_local_sgd(
             loss_sum += losses
             batches_seen += 1
             if extra_grad is not None:
-                grads = grads + extra_grad(params)
-            params -= config.learning_rate * grads
+                grads += extra_grad(params)
+            grads *= config.learning_rate
+            params -= grads
     if batches_seen:
         mean_losses = loss_sum / batches_seen
     else:

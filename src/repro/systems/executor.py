@@ -354,9 +354,10 @@ class VectorizedExecutor(ClientExecutor):
         recurring cohort composition (e.g. full participation under
         fixed epochs) pays the per-round stacking cost exactly once.
         Entries are validated against the identity of the source arrays,
-        so repriming on new problems can never serve stale data; the
-        cache is cleared when ragged compositions (variable-epoch
-        protocols under sampling) stop it from ever hitting.
+        so repriming on new problems can never serve stale data.
+        :meth:`run_tasks` keeps only the compositions of the latest call,
+        so ragged compositions (variable-epoch protocols under sampling),
+        which rarely recur, are released instead of accumulating.
         """
         key = client_indices
         source_ids = tuple(id(problem.dataset.features) for problem in problems)
@@ -367,8 +368,6 @@ class VectorizedExecutor(ClientExecutor):
         features = np.stack([problem.dataset.features for problem in problems])
         labels = np.stack([problem.dataset.labels for problem in problems])
         with self._pool_lock:
-            if len(self._data_cache) >= 64:
-                self._data_cache.clear()
             self._data_cache[key] = (features, labels, source_ids)
         return features, labels
 
@@ -503,6 +502,16 @@ class VectorizedExecutor(ClientExecutor):
                 dropout_seeds[index] = None
 
         position_groups = list(cohorts.values())
+        compositions = {
+            tuple(tasks[position].client_index for position in positions)
+            for positions in position_groups
+        }
+        with self._pool_lock:
+            self._data_cache = {
+                key: entry
+                for key, entry in self._data_cache.items()
+                if key in compositions
+            }
         workers = self.max_workers or os.cpu_count() or 1
         if len(position_groups) == 1 or workers <= 1:
             # No concurrency to exploit: run inline, zero thread overhead.

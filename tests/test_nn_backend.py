@@ -137,8 +137,9 @@ class TestKernelsCallThroughTheSeam:
         features = rng.normal(size=(2, 8, 6))
         labels = rng.integers(0, 3, size=(2, 8))
         batched.loss_and_grad(params, features, labels)
-        # Forward (2 linear) + backward (4: two weight-grad, two input-grad)
-        # matmuls, plus the fused softmax pair from the loss.
+        # Forward (2 linear) + backward (3: two weight-grad, one input-grad;
+        # the first layer's input gradient is never formed) matmuls, plus
+        # the fused softmax pair from the loss.
         assert backend.calls["matmul"] >= 4
         assert backend.calls["softmax"] == 1
         assert backend.calls["log_softmax"] == 1

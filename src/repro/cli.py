@@ -319,7 +319,11 @@ def _add_serve_parsers(subparsers) -> None:
     )
     worker.add_argument("url", help="server URL, e.g. http://127.0.0.1:8765")
     worker.add_argument("--max-tasks", type=int, default=None)
-    worker.add_argument("--poll-interval", type=float, default=0.05)
+    worker.add_argument("--poll-interval", type=float, default=0.05,
+                        help="seconds to back off after an empty task reply "
+                             "or a failed request (the server already holds "
+                             "an empty task request open while it waits for "
+                             "work)")
     worker.add_argument("--worker-id", default=None)
 
     loadtest = subparsers.add_parser(

@@ -20,8 +20,10 @@ Endpoints (all bodies are :mod:`repro.serve.protocol` frames unless noted):
 
 - ``POST /v1/handshake`` — JSON in/out; refuses version mismatches (426)
   and returns the experiment config workers must rebuild.
-- ``POST /v1/task`` — empty body in; one task frame out, or JSON
-  ``{"task": null, "done": ...}`` when nothing is pending.
+- ``POST /v1/task`` — empty body in; one task frame out.  With nothing
+  pending the request waits up to :data:`TASK_WAIT_S` for a task to be
+  queued, then answers JSON ``{"task": null, "done": ...}``; once the run
+  has finished it answers ``"done": true`` at once.
 - ``POST /v1/submit`` — a submit frame in; JSON ``{"status": "ok"}`` out.
   Duplicate submissions of a finished task are idempotent
   (``{"status": "duplicate"}``), malformed ones map onto 400/404/413/426.
@@ -58,9 +60,12 @@ from repro.serve import protocol
 from repro.systems.executor import ClientExecutor, LocalUpdateOutcome, LocalUpdateTask
 from repro.systems.transport import Transport
 
+#: Longest a ``/v1/task`` request waits for work before answering "no task".
+TASK_WAIT_S = 1.0
+
 
 class _Aborted(Exception):
-    """Internal: the board was torn down while a round was in flight."""
+    """Internal: the board was closed while a round was in flight."""
 
 
 class WireAccountingTransport(Transport):
@@ -107,7 +112,8 @@ class TaskBoard:
     """Thread-safe exchange between the round driver and HTTP handlers.
 
     The driver publishes a round's tasks and blocks in :meth:`wait`;
-    handler threads lease tasks with :meth:`pull` and deliver results with
+    handler threads block in :meth:`wait_for_task` until there is work,
+    lease tasks with :meth:`pull` and deliver results with
     :meth:`resolve`.  A leased task whose worker goes silent past its
     lease is reclaimed — put back on the queue for another worker — which
     is how a worker killed mid-round is absorbed without stalling the
@@ -125,7 +131,7 @@ class TaskBoard:
         self._tickets: dict[str, _Ticket] = {}
         self._queue: deque[str] = deque()
         self._seq = 0
-        self._aborted = False
+        self._closed = False
         self.reclaimed = 0
         self.duplicates = 0
 
@@ -182,7 +188,7 @@ class TaskBoard:
         """Block until every task is done; outcomes in ``task_ids`` order."""
         with self._cond:
             while True:
-                if self._aborted:
+                if self._closed:
                     raise _Aborted()
                 self._reclaim_locked()
                 if all(self._tickets[tid].state == "done" for tid in task_ids):
@@ -197,9 +203,30 @@ class TaskBoard:
                 # when no submit arrives to notify us.
                 self._cond.wait(timeout=min(1.0, self.lease_s / 4))
 
-    def abort(self) -> None:
+    def wait_for_task(self, timeout: float) -> None:
+        """Block until a task is pending, the board closes, or ``timeout`` passes.
+
+        Every wake reclaims expired leases, and the sleep never outlasts the
+        next lease expiry, so a reclaimed task goes straight to a waiter.
+        """
+        deadline = time.monotonic() + timeout
         with self._cond:
-            self._aborted = True
+            while True:
+                self._reclaim_locked()
+                now = time.monotonic()
+                if self._queue or self._closed or now >= deadline:
+                    return
+                wake = min(
+                    (t.lease_expires for t in self._tickets.values()
+                     if t.state == "leased"),
+                    default=deadline,
+                )
+                self._cond.wait(timeout=min(deadline, wake) - now)
+
+    def close(self) -> None:
+        """Abort the driver's :meth:`wait` and release every task waiter."""
+        with self._cond:
+            self._closed = True
             self._cond.notify_all()
 
     @property
@@ -260,6 +287,9 @@ class _ServeHTTPServer(ThreadingHTTPServer):
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve"
+    # Headers and body go out in separate writes; with Nagle on, the body
+    # waits for the client's delayed ACK of the headers (~40 ms).
+    disable_nagle_algorithm = True
 
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
         pass  # request logging goes through the metrics registry instead
@@ -279,7 +309,17 @@ class _Handler(BaseHTTPRequestHandler):
         self._send(status, json.dumps(payload).encode("utf-8"), "application/json")
 
     def _read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length") or 0)
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # The body's extent is unknown, so the stream cannot be resynced.
+            self.close_connection = True
+            raise ProtocolError(
+                f"bad Content-Length {self.headers.get('Content-Length')!r}",
+                code="malformed",
+            )
         if length > self.app.max_frame_bytes:
             # Refuse without reading; the stream is now unsynchronised, so
             # the connection must close after the error response.
@@ -308,6 +348,8 @@ class _Handler(BaseHTTPRequestHandler):
                 self._send_json(200, self.app.handle_handshake(body))
             elif route == "/v1/task":
                 self.app.count_request("task")
+                # Waiting stays outside handle_task, which is handler work.
+                self.app.board.wait_for_task(TASK_WAIT_S)
                 frame = self.app.handle_task()
                 if frame is None:
                     self._send_json(200, {"task": None, "done": self.app.done})
@@ -448,7 +490,7 @@ class FederationServer:
     def stop(self) -> None:
         """Tear everything down, aborting any in-flight round."""
         self._stop.set()
-        self.board.abort()
+        self.board.close()
         if self._driver is not None:
             self._driver.join(timeout=10)
         if self._httpd is not None:
@@ -481,10 +523,11 @@ class FederationServer:
                 pass
         except BaseException as exc:
             self.error = exc
-            self.board.abort()
         finally:
             sim.pipeline.close()
             self._done.set()
+            # Release long-polling task requests: they now answer "done".
+            self.board.close()
 
     def _snapshot_result(self) -> SimulationResult:
         """A :class:`SimulationResult` for the rounds completed so far.

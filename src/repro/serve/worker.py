@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
 import time
 from typing import Any, Callable
 from urllib.parse import urlsplit
@@ -40,6 +41,19 @@ from repro.systems.executor import LocalUpdateTask, execute_task
 from repro.utils.rng import RngFactory
 
 
+class _NoDelayConnection(http.client.HTTPConnection):
+    """An ``HTTPConnection`` whose every socket, reconnects included, is TCP_NODELAY.
+
+    ``http.client`` writes the request headers and body separately and
+    silently re-opens the socket after a ``Connection: close``, so the option
+    is set on each connect rather than relied on from the stdlib default.
+    """
+
+    def connect(self) -> None:
+        super().connect()
+        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+
 class ServerClient:
     """Minimal stdlib HTTP client with reconnect-on-failure."""
 
@@ -54,7 +68,7 @@ class ServerClient:
 
     def _connection(self) -> http.client.HTTPConnection:
         if self._conn is None:
-            self._conn = http.client.HTTPConnection(
+            self._conn = _NoDelayConnection(
                 self.host, self.port, timeout=self.timeout
             )
         return self._conn
@@ -193,6 +207,8 @@ def run_worker(
     the load generator uses it to replay heterogeneous client compute/
     network profiles; fault tests use it to hold a task past its lease.
     ``stop_check`` lets an embedding thread ask the loop to exit early.
+    ``poll_interval`` is the back-off after an empty task reply or a failed
+    request; the server itself holds an idle ``/v1/task`` open for work.
     """
     client = ServerClient(url)
     try:
